@@ -1,8 +1,8 @@
 //! Criterion benchmarks of generated-kernel execution: the µ/φ variants of
-//! Table 1 & Fig. 2 on the native executor, serial vs rayon-parallel, and
-//! the approximate-math modes.
+//! Table 1 & Fig. 2 on the native executor, and the approximate-math
+//! modes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pf_backend::{run_kernel, ExecMode, RunCtx};
 use pf_bench::{kernels_for, workload_store};
 use pf_core::{p1, p2};
@@ -63,30 +63,6 @@ fn bench_variants(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    let p = p1();
-    let ks = kernels_for(&p);
-    let shape = [32usize, 32, 16];
-    let cells = (shape[0] * shape[1] * shape[2]) as u64;
-    let ctx = RunCtx {
-        dx: [p.dx; 3],
-        ..RunCtx::default()
-    };
-    let mut g = c.benchmark_group("executor_modes");
-    g.throughput(Throughput::Elements(cells));
-    g.sample_size(10);
-    for (name, mode) in [
-        ("serial", ExecMode::Serial),
-        ("parallel", ExecMode::Parallel),
-    ] {
-        g.bench_with_input(BenchmarkId::new("mu_full", name), &mode, |b, &mode| {
-            let mut store = workload_store(&p, &ks, shape);
-            b.iter(|| run_kernel(&ks.mu_full, &mut store, &[], shape, &ctx, mode));
-        });
-    }
-    g.finish();
-}
-
 fn bench_p2_anisotropy(c: &mut Criterion) {
     // "Apparently small changes in the model can lead to vastly different
     // performance characteristics" (§5.1): P2's anisotropic φ kernel.
@@ -133,7 +109,6 @@ fn bench_approx_math(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_variants,
-    bench_parallel,
     bench_p2_anisotropy,
     bench_approx_math
 );

@@ -120,7 +120,7 @@ pub const MEASURED_OVERLAP_FIELDS: [&str; 6] = [
 ];
 
 /// Execution-engine names a kernel record may carry (`KernelPerf::mode`).
-pub const EXEC_MODES: [&str; 4] = ["serial", "parallel", "vectorized", "native"];
+pub const EXEC_MODES: [&str; 3] = ["serial", "vectorized", "native"];
 
 /// Measured-vs-predicted record for one kernel variant.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,7 +132,7 @@ pub struct KernelPerf {
     /// Variant within the family ("full"/"split").
     pub variant: String,
     /// Execution engine that produced `measured_mlups` (one of
-    /// [`EXEC_MODES`]: "serial", "parallel", "vectorized").
+    /// [`EXEC_MODES`]: "serial", "vectorized", "native").
     pub mode: String,
     /// Executor throughput on this host, single core, MLUP/s.
     pub measured_mlups: f64,

@@ -116,7 +116,7 @@ fn main() {
         let e_split = pred_split.mlups(sock.freq_ghz, cores) / cores as f64;
         let e_full = pred_full.mlups(sock.freq_ghz, cores) / cores as f64;
         if cores <= avail {
-            // Vectorized is the production engine: strip-mined inner loop,
+            // The vectorized interpreter: strip-mined inner loop,
             // slab-parallel over the pool, so it scales with `cores` like
             // the compiled code the ECM columns model.
             let b_split = with_threads(cores, || {

@@ -63,30 +63,22 @@ pub fn kernels_for(p: &ModelParams) -> KernelSet {
 
 /// Name of an execution mode as it appears in bench artifacts
 /// (`KernelPerf::mode`).
-pub fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Serial => "serial",
-        ExecMode::Parallel => "parallel",
-        ExecMode::Vectorized => "vectorized",
-        ExecMode::Native => "native",
-    }
-}
+pub use pf_core::mode_name;
 
 /// Execution engines `standard_kernel_perf` measures. Default: serial,
 /// strip-mined vectorized, and — when the sandbox can compile and load
 /// cdylibs — the native codegen backend, so every artifact carries the
 /// measured/predicted ratio for generated machine code next to the
 /// interpreters. `PF_BENCH_EXEC` narrows to a single engine (`serial` |
-/// `parallel` | `vectorized` | `native`) — scripts/ci.sh uses `vectorized`
+/// `vectorized` | `native`) — scripts/ci.sh uses `vectorized`
 /// for the dedicated smoke rerun.
 pub fn bench_exec_modes() -> Vec<ExecMode> {
     match std::env::var("PF_BENCH_EXEC").as_deref() {
         Ok("serial") => vec![ExecMode::Serial],
-        Ok("parallel") => vec![ExecMode::Parallel],
         Ok("vectorized") => vec![ExecMode::Vectorized],
         Ok("native") => vec![ExecMode::Native],
         Ok(other) => {
-            panic!("PF_BENCH_EXEC must be serial|parallel|vectorized|native, got '{other}'")
+            panic!("PF_BENCH_EXEC must be serial|vectorized|native, got '{other}'")
         }
         Err(_) => {
             let mut modes = vec![ExecMode::Serial, ExecMode::Vectorized];

@@ -89,17 +89,12 @@ pub struct DistConfig {
     pub checkpoint: Option<CheckpointConfig>,
     /// Message-fault/rank-kill injection for the whole world.
     pub faults: Option<FaultPlan>,
-    /// Execution engine for every rank's kernels; `None` keeps each block's
-    /// shape-based default. The engine is not part of the persistent state
-    /// (all engines are bitwise identical), so a checkpointed run may
-    /// resume under a different one.
+    /// Execution engine for every rank's kernels; `None` keeps the default
+    /// ([`crate::default_exec_mode`]: native when the host can compile
+    /// kernels). The engine is not part of the persistent state (all
+    /// engines are bitwise identical), so a checkpointed run may resume
+    /// under a different one.
     pub exec_mode: Option<pf_backend::ExecMode>,
-    /// When `exec_mode` is `None`, consult the on-disk tuning cache
-    /// ([`crate::tune::tuned_exec_mode`]) for each rank's block shape and
-    /// run the measured-fastest engine on a warm hit. Engine-only — the
-    /// bitwise-neutral knob — so a cache state can change speed but never
-    /// results; `PF_TUNE=off` or a cold cache keeps the shape default.
-    pub tune_exec: bool,
     /// Hierarchical (node × socket) decomposition: split `ranks` into
     /// `ranks / ranks_per_node` nodes refined by `ranks_per_node` ranks
     /// each ([`Decomposition::hierarchical`]). `None` keeps the flat
@@ -121,7 +116,6 @@ impl DistConfig {
             checkpoint: None,
             faults: None,
             exec_mode: None,
-            tune_exec: true,
             ranks_per_node: None,
         }
     }
@@ -741,7 +735,7 @@ where
         }
     });
 
-    run_ranks_with_faults(cfg.ranks, plan, |mut comm| {
+    let rank_main = |mut comm: Comm| {
         // Metrics recorded on this rank thread (kernel launches, halo
         // exchanges, checkpoint writes, …) are tagged with the rank so
         // snapshots can aggregate across the simulated world.
@@ -755,19 +749,6 @@ where
             sim_cfg.seed = cfg.seed;
             if let Some(m) = cfg.exec_mode {
                 sim_cfg.mode = m;
-            } else if cfg.tune_exec {
-                // Warm tuning cache → measured-fastest engine for this
-                // block shape; cold/off → keep the shape-based default.
-                // Engines are bitwise identical, so this consult can never
-                // change physics (see `TunedChoice`'s bitwise contract).
-                if let Some(m) = crate::tune::tuned_exec_mode(
-                    crate::tune::TuneCache::from_env().as_ref(),
-                    kernels,
-                    &pf_machine::skylake_8174(),
-                    block.shape,
-                ) {
-                    sim_cfg.mode = m;
-                }
             }
             let mut sim = Simulation::new(params.clone(), kernels.clone(), sim_cfg);
             sim.origin = block.origin;
@@ -841,7 +822,16 @@ where
             let r = finish(&sim);
             results.lock().push((comm.rank(), r));
         })
-    });
+    };
+    // One thread budget for the whole world, like the paper's hybrid
+    // MPI+OpenMP split: every rank's kernel launches get an equal share of
+    // the host's cores, so ranks × threads per rank never exceeds them.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads((cores / cfg.ranks).max(1))
+        .build()
+        .expect("the rayon thread budget always builds");
+    run_ranks_with_faults(cfg.ranks, plan, |comm| pool.install(|| rank_main(comm)));
 
     let mut out = results.into_inner();
     out.sort_by_key(|(r, _)| *r);
@@ -963,6 +953,32 @@ mod tests {
                     assert_eq!(mu.get(0, x, y, 0), want, "mu mismatch");
                 }
             }
+        }
+    }
+
+    /// One thread budget: each rank's launches see an equal share of the
+    /// host's cores (at least one), so ranks × threads never exceeds them.
+    #[test]
+    fn ranks_split_the_host_cores_between_them() {
+        let p = crate::kernels::tests::mini_model();
+        let ks = generate_kernels(&p, &GenOptions::default());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for ranks in [1, 2, 2 * cores] {
+            let cfg = DistConfig::new([8 * ranks, 8, 1], ranks);
+            let threads = run_distributed(
+                &p,
+                &ks,
+                &cfg,
+                0,
+                |_, _, _| vec![1.0, 0.0],
+                |_, _, _| vec![0.1],
+                |_| rayon::current_num_threads(),
+            );
+            assert_eq!(
+                threads,
+                vec![(cores / ranks).max(1); ranks],
+                "{ranks} ranks"
+            );
         }
     }
 

@@ -25,86 +25,20 @@ pub struct VariantChoice {
     pub predicted_mlups: [f64; 4],
 }
 
-/// Pick the execution engine for a block shape: the strip-mined vectorized
-/// engine whenever the unit-stride extent can fill at least one strip of
+/// Pick the execution engine for a block shape: generated machine code
+/// ([`ExecMode::Native`]) whenever this host's `rustc` can produce loadable
+/// cdylibs. Without a toolchain, the strip-mined vectorized engine when the
+/// unit-stride extent can fill at least one strip of
 /// [`pf_backend::STRIP_WIDTH`] lanes, scalar-serial for thinner blocks
-/// (where strips would be all remainder loop). `PF_EXEC_MODE` overrides
-/// (`serial` | `parallel` | `vectorized` | `native`) for experiments and
-/// CI; an unrecognized value warns once and falls back to the shape-based
-/// default instead of silently (or fatally) derailing a long run over a
-/// typo. `native` requests compiled-kernel execution; if `rustc` cannot
-/// produce cdylibs the executor degrades to `vectorized` per launch.
+/// (where strips would be all remainder loop). All engines are bitwise
+/// identical; pin one through `SimConfig::mode` / `DistConfig::exec_mode`.
 pub fn default_exec_mode(shape: [usize; 3]) -> ExecMode {
-    let shape_default = || {
-        if shape[0] >= pf_backend::STRIP_WIDTH {
-            ExecMode::Vectorized
-        } else {
-            ExecMode::Serial
-        }
-    };
-    // Every downgrade away from a requested engine records *why* under a
-    // typed reason suffix (plus the legacy aggregate), so a CI log showing
-    // serial numbers where vectorized/native ones were expected is
-    // diagnosable from the counter dump alone.
-    let fallback = |reason: &str| {
-        if pf_trace::enabled() {
-            pf_trace::counter("select.exec_mode_fallback").incr(1);
-            pf_trace::counter(&format!("select.exec_mode_fallback.{reason}")).incr(1);
-        }
-    };
-    match std::env::var("PF_EXEC_MODE").as_deref() {
-        Ok("serial") => ExecMode::Serial,
-        Ok("parallel") => ExecMode::Parallel,
-        Ok("vectorized") => {
-            if shape[0] >= pf_backend::STRIP_WIDTH {
-                ExecMode::Vectorized
-            } else {
-                // Thinner than one SIMD strip: the vector engine would run
-                // entirely in its scalar remainder loop. Same results
-                // (engines are bitwise identical), so select the engine
-                // that does that work without strip bookkeeping.
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: PF_EXEC_MODE=vectorized but the block is only {} cells wide \
-                         (< STRIP_WIDTH {}); running serial",
-                        shape[0],
-                        pf_backend::STRIP_WIDTH
-                    );
-                });
-                fallback("thin_block");
-                ExecMode::Serial
-            }
-        }
-        Ok("native") => {
-            if pf_backend::native_available() {
-                ExecMode::Native
-            } else {
-                // Downgrade at selection time instead of letting every
-                // launch rediscover the missing toolchain.
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: PF_EXEC_MODE=native but rustc cannot produce loadable \
-                         cdylibs here; using the default engine"
-                    );
-                });
-                fallback("native_unavailable");
-                shape_default()
-            }
-        }
-        Ok(other) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: unrecognized PF_EXEC_MODE '{other}' \
-                     (expected serial|parallel|vectorized|native); using the default engine"
-                );
-            });
-            fallback("unrecognized");
-            shape_default()
-        }
-        Err(_) => shape_default(),
+    if pf_backend::native_available() {
+        ExecMode::Native
+    } else if shape[0] >= pf_backend::STRIP_WIDTH {
+        ExecMode::Vectorized
+    } else {
+        ExecMode::Serial
     }
 }
 
@@ -170,50 +104,14 @@ mod tests {
     }
 
     #[test]
-    fn unrecognized_exec_mode_env_warns_and_falls_back() {
-        // Mutating the env here cannot disturb concurrent tests: the
-        // fallback for an unrecognized value IS the unset-default path, so
-        // every interleaving sees the same selection.
-        let before = fallback_count("select.exec_mode_fallback.unrecognized");
-        std::env::set_var("PF_EXEC_MODE", "simd4life");
-        let wide = default_exec_mode([64, 8, 8]);
-        let thin = default_exec_mode([4, 8, 8]);
-        std::env::remove_var("PF_EXEC_MODE");
-        assert_eq!(wide, ExecMode::Vectorized, "wide blocks keep the default");
-        assert_eq!(thin, ExecMode::Serial, "thin blocks keep the default");
-        if pf_trace::enabled() {
-            let after = fallback_count("select.exec_mode_fallback.unrecognized");
-            assert!(after >= before + 2, "reason counter: {before} -> {after}");
-        }
-    }
-
-    fn fallback_count(name: &str) -> u64 {
-        pf_trace::snapshot()
-            .counters
-            .get(name)
-            .map(|c| c.total)
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn thin_block_vectorized_request_downgrades_with_typed_reason() {
-        // Benign env mutation: for wide shapes "vectorized" matches the
-        // unset default, and for thin shapes the downgrade lands on the
-        // unset default too — concurrent selections are unaffected.
-        let agg_before = fallback_count("select.exec_mode_fallback");
-        let before = fallback_count("select.exec_mode_fallback.thin_block");
-        std::env::set_var("PF_EXEC_MODE", "vectorized");
-        let wide = default_exec_mode([64, 8, 8]);
-        let thin = default_exec_mode([4, 8, 8]);
-        std::env::remove_var("PF_EXEC_MODE");
-        assert_eq!(wide, ExecMode::Vectorized);
-        assert_eq!(thin, ExecMode::Serial, "sub-strip width must run serial");
-        if pf_trace::enabled() {
-            let after = fallback_count("select.exec_mode_fallback.thin_block");
-            assert!(after > before, "reason counter: {before} -> {after}");
-            let agg_after = fallback_count("select.exec_mode_fallback");
-            assert!(agg_after > agg_before, "aggregate counter still bumps");
-        }
+    fn native_is_the_default_whenever_it_is_available() {
+        let (wide, thin) = if pf_backend::native_available() {
+            (ExecMode::Native, ExecMode::Native)
+        } else {
+            (ExecMode::Vectorized, ExecMode::Serial)
+        };
+        assert_eq!(default_exec_mode([64, 8, 8]), wide);
+        assert_eq!(default_exec_mode([4, 8, 8]), thin);
     }
 
     #[test]

@@ -185,7 +185,6 @@ fn decode_variant(b: u8) -> Result<Variant, TuneCacheError> {
 fn encode_mode(m: ExecMode) -> u8 {
     match m {
         ExecMode::Serial => 0,
-        ExecMode::Parallel => 1,
         ExecMode::Vectorized => 2,
         ExecMode::Native => 3,
     }
@@ -194,7 +193,6 @@ fn encode_mode(m: ExecMode) -> u8 {
 fn decode_mode(b: u8) -> Result<ExecMode, TuneCacheError> {
     match b {
         0 => Ok(ExecMode::Serial),
-        1 => Ok(ExecMode::Parallel),
         2 => Ok(ExecMode::Vectorized),
         3 => Ok(ExecMode::Native),
         _ => Err(TuneCacheError::Malformed("exec mode")),
@@ -205,7 +203,6 @@ fn decode_mode(b: u8) -> Result<ExecMode, TuneCacheError> {
 pub fn mode_name(m: ExecMode) -> &'static str {
     match m {
         ExecMode::Serial => "serial",
-        ExecMode::Parallel => "parallel",
         ExecMode::Vectorized => "vectorized",
         ExecMode::Native => "native",
     }
@@ -512,8 +509,8 @@ pub enum ChoiceSource {
 pub struct TunedChoice {
     pub phi: Variant,
     pub mu: Variant,
-    /// Measured-fastest engine (`None` on static fallback: keep the
-    /// shape-based default).
+    /// Measured-fastest engine (`None` on static fallback: keep
+    /// [`default_exec_mode`]).
     pub mode: Option<ExecMode>,
     pub source: ChoiceSource,
     /// Static ECM ratings (φ-split, φ-full, µ-split, µ-full), kept for
@@ -591,12 +588,13 @@ pub fn select_variants_tuned_in(
     }
 }
 
-/// Launch-path engine consult: the measured-fastest execution engine for
-/// this (machine, kernel set, block shape), if both families hit the
-/// cache. This is the bitwise-neutral subset of [`TunedChoice`] — engines
-/// are proven bitwise identical, so callers may apply it to an *existing*
-/// configuration (e.g. a rank resuming from a checkpoint) without
-/// perturbing results. Zero measurement, two file reads, no ECM rating.
+/// Engine consult: the measured-fastest execution engine for this
+/// (machine, kernel set, block shape), if both families hit the cache.
+/// This is the bitwise-neutral subset of [`TunedChoice`] — engines are
+/// proven bitwise identical, so applying it can never perturb results.
+/// Zero measurement, two file reads, no ECM rating. `run_distributed`
+/// does not consult it (its ranks run the [`default_exec_mode`] engine);
+/// bench reports use it to name the engine a warm cache would pick.
 pub fn tuned_exec_mode(
     cache: Option<&TuneCache>,
     ks: &KernelSet,
@@ -610,7 +608,7 @@ pub fn tuned_exec_mode(
     match (phi, mu) {
         // One engine drives the whole step; follow the time-dominant
         // (slower measured) family. All-or-nothing, like the variant
-        // consult: a lone hit keeps the shape default.
+        // consult: a lone hit keeps the default engine.
         (Some(phi), Some(mu)) => Some(if phi.measured_mlups <= mu.measured_mlups {
             phi.mode
         } else {

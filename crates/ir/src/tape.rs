@@ -232,13 +232,21 @@ impl Tape {
     /// identically over identically-shaped storage — which is what
     /// executors key resolved-plan caches on. (Tapes carry no identity:
     /// pipelines clone and mutate them freely, so a stored id would go
-    /// stale; a structural fingerprint cannot.) `field_ranges` is *not*
-    /// hashed: contracts are analysis-only and must not invalidate caches.
+    /// stale; a structural fingerprint cannot.) Field slots are hashed by
+    /// their shape (components, dim), not by their process-global handle,
+    /// so regenerating a kernel yields the same key. `field_ranges` is
+    /// *not* hashed: contracts are analysis-only and must not invalidate
+    /// caches.
     pub fn structural_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.name.hash(&mut h);
-        self.fields.hash(&mut h);
+        let slots: Vec<(usize, usize)> = self
+            .fields
+            .iter()
+            .map(|f| (f.components(), f.dim()))
+            .collect();
+        slots.hash(&mut h);
         self.params.hash(&mut h);
         self.instrs.hash(&mut h);
         self.iter_extent.hash(&mut h);

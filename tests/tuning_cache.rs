@@ -177,6 +177,69 @@ fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
             "truncated counts as corrupt"
         );
     }
+
+    // A well-sealed entry whose exec-mode byte is no longer an engine
+    // (1 was the retired outer-loop-parallel interpreter): the checksum
+    // passes, the mode decode rejects it, same fallback and counter.
+    store_both(&cache, &ks, &sock, SHAPE);
+    let mut bytes = std::fs::read(&phi_path).expect("read entry");
+    bytes[MODE_BYTE] = 1;
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&phi_path, &bytes).expect("rewrite retired mode");
+    let corrupt2 = counter("tune.cache.corrupt");
+    let retired = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
+    assert_eq!(retired.source, ChoiceSource::Static);
+    assert_eq!((retired.phi, retired.mu), (stat.phi, stat.mu));
+    if pf_trace::enabled() {
+        assert!(
+            counter("tune.cache.corrupt") > corrupt2,
+            "an unknown exec mode counts as corrupt"
+        );
+    }
+}
+
+/// Offset of the exec-mode byte in an entry: magic (8), version (4),
+/// machine and tapes fingerprints (8 + 8), shape (3 × 8), variant (1).
+const MODE_BYTE: usize = 53;
+
+/// FNV-1a 64, the entry checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Field handles are process-global, so every generation mints new ones;
+/// the cache keys must not see them. Generating P1 twice has to give the
+/// same structural hash on every tape and the same family fingerprints,
+/// or every native artifact, plan and tuning entry would miss.
+#[test]
+fn regenerating_p1_keeps_every_cache_key() {
+    let a = generate_kernels(&pf_core::p1(), &GenOptions::default());
+    let b = generate_kernels(&pf_core::p1(), &GenOptions::default());
+    let hashes = |ks: &KernelSet| -> Vec<(String, u64)> {
+        [
+            &ks.phi_full,
+            &ks.mu_full,
+            &ks.phi_split.update,
+            &ks.mu_split.update,
+        ]
+        .into_iter()
+        .chain(&ks.phi_split.flux_tapes)
+        .chain(&ks.mu_split.flux_tapes)
+        .map(|t| (t.name.clone(), t.structural_hash()))
+        .collect()
+    };
+    assert_eq!(hashes(&a), hashes(&b));
+    for family in [Family::Phi, Family::Mu] {
+        assert_eq!(
+            family_fingerprint(&a, family),
+            family_fingerprint(&b, family),
+            "{family:?}"
+        );
+    }
 }
 
 #[test]
@@ -255,7 +318,7 @@ fn concurrent_ranks_sharing_a_cache_dir_never_see_torn_entries() {
         entry(ExecMode::Serial, 1.0),
         entry(ExecMode::Vectorized, 2.0),
         entry(ExecMode::Native, 3.0),
-        entry(ExecMode::Parallel, 4.0),
+        entry(ExecMode::Native, 4.0),
     ];
     let corrupt0 = counter("tune.cache.corrupt");
     std::thread::scope(|s| {
@@ -296,8 +359,7 @@ fn concurrent_ranks_sharing_a_cache_dir_never_see_torn_entries() {
 fn kill_switch_and_cache_dir_env_are_respected() {
     // `tune_enabled` is pure env parsing; exercise all spellings. The
     // PF_TUNE mutations are benign for concurrent tests in this binary:
-    // nothing else here consults `TuneCache::from_env`, and the dist
-    // launch consult it gates only flips bitwise-identical engines.
+    // nothing else here consults `TuneCache::from_env`.
     for off in ["off", "0", "false"] {
         std::env::set_var("PF_TUNE", off);
         assert!(
