@@ -30,7 +30,8 @@ pub use exec::{
     time_tapes, ExecError, ExecMode, RunCtx,
 };
 pub use native::{
-    clear_memory_cache, emit_rust, native_available, native_cache_dir, source_fingerprint,
+    clear_memory_cache, emit_rust, native_available, native_cache_dir, rustc_version,
+    source_fingerprint,
 };
 pub use pf_grid::IterRegion;
 pub use simd::{emit_c_simd, SimdIsa};

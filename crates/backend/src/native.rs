@@ -118,6 +118,20 @@ fn rustc_path() -> String {
     std::env::var("PF_NATIVE_RUSTC").unwrap_or_else(|_| "rustc".to_string())
 }
 
+/// The `--version` line of the compiler kernels are built with, or `None`
+/// when it does not run.
+pub fn rustc_version() -> Option<String> {
+    let out = std::process::Command::new(rustc_path())
+        .arg("--version")
+        .output()
+        .ok()?;
+    let line = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .next()?
+        .to_string();
+    out.status.success().then_some(line)
+}
+
 /// On-disk artifact directory (`PF_NATIVE_CACHE_DIR` override — the tests
 /// use per-test temp dirs so parallel runs never race on artifacts).
 pub fn native_cache_dir() -> PathBuf {

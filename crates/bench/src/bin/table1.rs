@@ -43,14 +43,14 @@ fn main() {
     for p in [p1(), p2()] {
         let ks = kernels_for(&p);
         perf.extend(pf_bench::standard_kernel_perf(&p, &ks));
-        // Schema pf-bench/5: table1 is a tuned artifact — run the
-        // enumerate→price→shortlist→measure loop for both kernel families
-        // and report chosen-vs-best regret so scripts/perf_gate.sh can gate
-        // tuning quality alongside raw throughput.
+        // table1 is a tuned artifact: measure full vs split for both
+        // kernel families under the default engine and report
+        // chosen-vs-best regret so scripts/perf_gate.sh can gate tuning
+        // quality alongside raw throughput.
         let reports = pf_bench::tune_reports(&p, &ks);
         for r in &reports {
             println!(
-                "  tuned {}/{}: {}@{} {:.3} MLUP/s (static {}@{} {:.3}; \
+                "  tuned {}/{}: {}@{} {:.3} MLUP/s (static {} {:.3}; \
                  regret chosen {:.1}% static {:.1}%)",
                 p.name,
                 r.family.name(),
@@ -58,7 +58,6 @@ fn main() {
                 pf_core::mode_name(r.entry.mode),
                 r.chosen_mlups,
                 pf_core::variant_name(r.static_variant),
-                pf_core::mode_name(r.static_mode),
                 r.static_mlups,
                 r.regret_chosen * 100.0,
                 r.regret_static * 100.0,

@@ -343,21 +343,16 @@ pub fn emit_bench(
 }
 
 /// Autotune one parameterization on the bench workload and return the
-/// per-family reports. Smoke mode shrinks the grid and the repetition
-/// budget the same way `standard_kernel_perf` does. The cache honours
-/// `PF_TUNE` / `PF_TUNE_CACHE_DIR`; tuning always measures (it is the
-/// explicit search entry point — only the *launch* path is measurement
-/// free), but a warm cache with a near-best entry keeps its winner so
-/// artifacts stay stable across reruns.
+/// per-family reports: full vs split, both under the default engine.
+/// Smoke mode shrinks the grid and the repetition budget the same way
+/// `standard_kernel_perf` does. The cache lives at `PF_TUNE_CACHE_DIR`.
+/// Tuning always measures, but a warm cache with a near-best entry keeps
+/// its winner so artifacts stay stable across reruns.
 pub fn tune_reports(p: &ModelParams, ks: &KernelSet) -> Vec<pf_core::FamilyTuneReport> {
     let sock = skylake_8174();
     let shape = if smoke() { [8, 8, 8] } else { [12, 12, 12] };
     let opts = if smoke() {
-        pf_core::TuneOptions {
-            reps: 2,
-            sweeps: 1,
-            ..Default::default()
-        }
+        pf_core::TuneOptions { reps: 2, sweeps: 1 }
     } else {
         pf_core::TuneOptions::default()
     };
@@ -387,9 +382,10 @@ pub fn tuning_extra(per_params: &[(String, Vec<pf_core::FamilyTuneReport>)]) -> 
                         "static_variant".to_string(),
                         Json::str(pf_core::variant_name(r.static_variant)),
                     ),
+                    // The engine is held fixed: both variants ran under it.
                     (
                         "static_mode".to_string(),
-                        Json::str(mode_name(r.static_mode)),
+                        Json::str(mode_name(r.entry.mode)),
                     ),
                     ("candidates".to_string(), Json::Num(r.candidates as f64)),
                     ("measured".to_string(), Json::Num(r.measured as f64)),

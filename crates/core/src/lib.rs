@@ -45,7 +45,6 @@ pub use params::{p1, p2, ModelParams, TempModel};
 pub use select::{default_exec_mode, select_variants, VariantChoice};
 pub use sim::{BcKind, SimConfig, Simulation, Variant};
 pub use tune::{
-    family_fingerprint, mode_name, select_variants_tuned, select_variants_tuned_in, tune_enabled,
-    tune_gpu_schedule, tune_kernel_set, tuned_exec_mode, variant_name, ChoiceSource, Family,
-    FamilyTuneReport, GpuScheduleChoice, TuneCache, TuneEntry, TuneOptions, TunedChoice,
+    family_fingerprint, mode_name, tune_gpu_schedule, tune_kernel_set, tuned_exec_mode,
+    variant_name, Family, FamilyTuneReport, GpuScheduleChoice, TuneCache, TuneEntry, TuneOptions,
 };

@@ -1,33 +1,21 @@
-//! Autotuning: variant/blocking selection by search (§6.1 closed loop).
+//! Autotuning: the §6.1 variant decision, checked by measurement.
 //!
-//! The paper prices kernel candidates with the ECM model plus cache
-//! simulation and picks the fastest; `select_variants` reproduces that
-//! static rating. This module closes the remaining gap to a real
-//! autotuner with the classical enumerate → price → shortlist → measure →
-//! persist loop:
+//! The paper picks between the full and split kernel variants by pricing
+//! both with the ECM model; `select_variants` reproduces that static
+//! rating. [`tune_kernel_set`] checks it on this host. Per kernel family
+//! it measures exactly the two configurations a run can execute —
+//! `Variant::Full` and `Variant::Split`, both under [`default_exec_mode`]
+//! — with short best-of-N sweeps through the real backend
+//! ([`pf_backend::time_tapes`]). It reports the static pick against the
+//! measured best and persists the winner to a versioned, checksummed
+//! on-disk cache keyed on (host identity, machine-model fingerprint,
+//! kernel structural hashes, geometry).
 //!
-//! 1. **Enumerate** candidate configurations per (kernel family, shape):
-//!    variant (full/split) × loop order × (y,z) cache-blocking tile ×
-//!    SIMD strip width.
-//! 2. **Price** every candidate with [`pf_perfmodel::price_candidate`]
-//!    (ECM + exact cache simulation) — thousands of model evaluations cost
-//!    less than one real run.
-//! 3. **Shortlist** the top-K *executable* configurations (blocking and
-//!    strip width are pricing dimensions — the strip engine fixes its
-//!    width at [`pf_backend::STRIP_WIDTH`] and blocks internally — so
-//!    candidates that differ only there collapse onto one measurement).
-//! 4. **Measure** the shortlist with short best-of-N sweeps through the
-//!    real backend ([`pf_backend::time_tapes`]) under every available
-//!    execution engine, including compiled-native kernels.
-//! 5. **Persist** the winner to a versioned, checksummed on-disk cache
-//!    keyed on (machine-model fingerprint, kernel structural hashes,
-//!    geometry) that [`select_variants_tuned`] consults at launch.
-//!
-//! Measurement stays strictly off the default launch path: a warm cache
-//! hit costs one small file read, a miss falls back to the static
-//! heuristic (warn-free — cold misses are normal), and corrupt or
-//! version-mismatched entries fall back warn-once. `PF_TUNE=off` kills the
-//! whole consult; `PF_TUNE_CACHE_DIR` relocates the cache.
+//! No launch reads the cache: `run_distributed` runs the default engine.
+//! Bench reports read it back through [`tuned_exec_mode`]. A miss falls
+//! back to the static choice silently (cold misses are normal); a corrupt,
+//! version-mismatched or foreign-host entry falls back warn-once.
+//! `PF_TUNE_CACHE_DIR` relocates the cache.
 //!
 //! The same pricing discipline rescues the GPU-approx path:
 //! [`tune_gpu_schedule`] prices the register-pressure reschedules (which
@@ -41,8 +29,9 @@ use crate::sim::{SimConfig, Simulation, Variant};
 use pf_backend::ExecMode;
 use pf_ir::Tape;
 use pf_machine::{CpuSocket, Gpu};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Cache keying
@@ -52,7 +41,7 @@ use std::path::{Path, PathBuf};
 /// versions *before* the checksum check, so old processes sharing a cache
 /// directory with new ones degrade to the static heuristic instead of
 /// misparsing each other's entries.
-pub const TUNE_FORMAT_VERSION: u32 = 1;
+pub const TUNE_FORMAT_VERSION: u32 = 2;
 
 const TUNE_MAGIC: &[u8; 8] = b"PFTUNE01";
 
@@ -74,22 +63,55 @@ impl Fnv {
     }
 }
 
-/// Identity of one kernel family's full search space: the structural hashes
-/// of *both* variants' canonical tapes. Any change to the generated code —
-/// model parameters, discretization, IR pipeline — moves this fingerprint
-/// and silently invalidates stale tuning entries.
-pub fn family_fingerprint(ks: &KernelSet, family: Family) -> u64 {
-    let mut h = Fnv::new();
+/// The tapes one variant of a kernel family launches, in launch order.
+fn family_variant_tapes(ks: &KernelSet, family: Family, variant: Variant) -> Vec<&Tape> {
     let (full, split) = match family {
         Family::Phi => (&ks.phi_full, &ks.phi_split),
         Family::Mu => (&ks.mu_full, &ks.mu_split),
     };
-    h.write(&full.structural_hash().to_le_bytes());
-    for t in &split.flux_tapes {
-        h.write(&t.structural_hash().to_le_bytes());
+    match variant {
+        Variant::Full => vec![full],
+        Variant::Split => split.flux_tapes.iter().chain([&split.update]).collect(),
     }
-    h.write(&split.update.structural_hash().to_le_bytes());
+}
+
+/// Identity of one kernel family's search space: the structural hashes of
+/// *both* variants' canonical tapes. Any change to the generated code —
+/// model parameters, discretization, IR pipeline — moves this fingerprint
+/// and silently invalidates stale tuning entries.
+pub fn family_fingerprint(ks: &KernelSet, family: Family) -> u64 {
+    let mut h = Fnv::new();
+    for variant in [Variant::Full, Variant::Split] {
+        for t in family_variant_tapes(ks, family, variant) {
+            h.write(&t.structural_hash().to_le_bytes());
+        }
+    }
     h.finish()
+}
+
+/// Identity of the host that measures entries: the CPU model name, the
+/// core count and the `--version` line of the rustc the native engine
+/// uses (a fixed marker without a toolchain). Entries hold MLUP/s
+/// measured here, so another machine's winners must miss. Resolved once
+/// per process.
+fn host_fingerprint() -> u64 {
+    static HOST: OnceLock<u64> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+        let model = cpuinfo
+            .lines()
+            .find_map(|l| l.strip_prefix("model name")?.trim_start().strip_prefix(':'))
+            .unwrap_or("")
+            .trim();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let rustc = pf_backend::rustc_version().unwrap_or_else(|| "no-toolchain".into());
+        let mut h = Fnv::new();
+        for part in [model, cores.to_string().as_str(), rustc.as_str()] {
+            h.write(part.as_bytes());
+            h.write(&[0]);
+        }
+        h.finish()
+    })
 }
 
 /// The two kernel families of Algorithm 1.
@@ -112,22 +134,15 @@ impl Family {
 // Cache entries
 // ---------------------------------------------------------------------------
 
-/// One persisted tuning decision: the measured-fastest configuration of a
-/// kernel family on a (machine model, kernel set, geometry) triple.
+/// One persisted tuning decision: the measured-faster variant of a kernel
+/// family on a (host, machine model, kernel set, geometry) key.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneEntry {
     pub variant: Variant,
+    /// The engine the measurement ran under ([`default_exec_mode`]).
     pub mode: ExecMode,
-    /// Cache-blocking tile of the best-priced pricing point (model-side
-    /// only — the strip engine blocks internally).
-    pub block: [usize; 3],
-    pub loop_order: [usize; 3],
-    /// SIMD strip width of the best-priced pricing point.
-    pub strip_width: usize,
     /// Measured MLUP/s of this configuration when it was persisted.
     pub measured_mlups: f64,
-    /// ECM-predicted MLUP/s of the best pricing point of this config.
-    pub predicted_mlups: f64,
 }
 
 /// Typed reasons a cache entry is unusable. Everything except `Io` means
@@ -142,8 +157,9 @@ pub enum TuneCacheError {
     UnsupportedVersion(u32),
     Truncated,
     ChecksumMismatch,
-    /// The entry decodes but was written for a different (machine, kernel,
-    /// shape) key — filename collision paranoia.
+    /// The entry decodes but was written for a different (host, machine,
+    /// kernel, shape) key — another host's measurement, or a filename
+    /// collision.
     KeyMismatch,
     Malformed(&'static str),
 }
@@ -220,22 +236,13 @@ pub fn variant_name(v: Variant) -> &'static str {
 // The cache
 // ---------------------------------------------------------------------------
 
-/// A directory of tuning entries, one file per (machine, kernel family,
-/// shape) key. Installs are atomic (unique tmp file + rename, the same
-/// discipline as the native artifact cache), so concurrent ranks sharing a
-/// directory never observe half-written entries.
+/// A directory of tuning entries, one file per (host, machine, kernel
+/// family, shape) key. Installs are atomic (unique tmp file + rename, the
+/// same discipline as the native artifact cache), so concurrent ranks
+/// sharing a directory never observe half-written entries.
 #[derive(Clone, Debug)]
 pub struct TuneCache {
     dir: PathBuf,
-}
-
-/// Is the launch-path cache consult enabled? `PF_TUNE=off|0|false` is the
-/// kill switch; anything else (including unset) leaves tuning on.
-pub fn tune_enabled() -> bool {
-    !matches!(
-        std::env::var("PF_TUNE").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
 }
 
 /// Cache directory: `PF_TUNE_CACHE_DIR`, else `$TMPDIR/pf-tune-cache`.
@@ -247,26 +254,27 @@ pub fn tune_cache_dir() -> PathBuf {
 }
 
 impl TuneCache {
-    /// Cache rooted at an explicit directory (tests and tools; the launch
-    /// path uses [`TuneCache::from_env`]).
+    /// Cache rooted at an explicit directory (tests and tools; bench
+    /// reports use [`TuneCache::from_env`]).
     pub fn at(dir: impl Into<PathBuf>) -> TuneCache {
         TuneCache { dir: dir.into() }
     }
 
-    /// Environment-resolved cache, or `None` when `PF_TUNE` turns the
-    /// tuning consult off.
+    /// The cache at [`tune_cache_dir`]. Always `Some`; the `Option` is
+    /// kept for callers written when the cache could be switched off.
     pub fn from_env() -> Option<TuneCache> {
-        tune_enabled().then(|| TuneCache::at(tune_cache_dir()))
+        Some(TuneCache::at(tune_cache_dir()))
     }
 
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// The cache key: machine-model fingerprint × kernel-family structural
-    /// fingerprint × block geometry.
-    pub fn key(machine_fp: u64, tapes_fp: u64, shape: [usize; 3]) -> u64 {
+    /// The cache key: host identity × machine-model fingerprint ×
+    /// kernel-family structural fingerprint × block geometry.
+    fn key(machine_fp: u64, tapes_fp: u64, shape: [usize; 3]) -> u64 {
         let mut h = Fnv::new();
+        h.write(&host_fingerprint().to_le_bytes());
         h.write(&machine_fp.to_le_bytes());
         h.write(&tapes_fp.to_le_bytes());
         for d in shape {
@@ -284,18 +292,19 @@ impl TuneCache {
     }
 
     /// Load the entry for a key. `None` on any miss; rejected files
-    /// (corruption, version mismatch) warn once per process and bump typed
-    /// counters — callers uniformly fall back to static selection.
+    /// (corruption, version mismatch, foreign host) warn once per process
+    /// and bump typed counters — callers uniformly fall back to static
+    /// selection.
     pub fn load(&self, machine_fp: u64, tapes_fp: u64, shape: [usize; 3]) -> Option<TuneEntry> {
         let path = self.entry_path(machine_fp, tapes_fp, shape);
-        if !path.exists() {
-            bump("tune.cache.miss");
-            return None;
-        }
         match read_entry(&path, machine_fp, tapes_fp, shape) {
             Ok(entry) => {
                 bump("tune.cache.hit");
                 Some(entry)
+            }
+            Err(TuneCacheError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                bump("tune.cache.miss");
+                None
             }
             Err(err) => {
                 match err {
@@ -359,26 +368,21 @@ fn bump(name: &str) {
     }
 }
 
+/// Layout: magic, version, host, machine and tapes fingerprints, shape,
+/// variant, mode, measured MLUP/s, then an FNV-1a checksum of all of it.
 fn encode_entry(machine_fp: u64, tapes_fp: u64, shape: [usize; 3], e: &TuneEntry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
+    let mut out = Vec::with_capacity(80);
     out.extend_from_slice(TUNE_MAGIC);
     out.extend_from_slice(&TUNE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&machine_fp.to_le_bytes());
-    out.extend_from_slice(&tapes_fp.to_le_bytes());
+    for word in [host_fingerprint(), machine_fp, tapes_fp] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
     for d in shape {
         out.extend_from_slice(&(d as u64).to_le_bytes());
     }
     out.push(encode_variant(e.variant));
     out.push(encode_mode(e.mode));
-    for d in e.block {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    for d in e.loop_order {
-        out.push(d as u8);
-    }
-    out.extend_from_slice(&(e.strip_width as u32).to_le_bytes());
     out.extend_from_slice(&e.measured_mlups.to_bits().to_le_bytes());
-    out.extend_from_slice(&e.predicted_mlups.to_bits().to_le_bytes());
     let mut h = Fnv::new();
     h.write(&out);
     out.extend_from_slice(&h.finish().to_le_bytes());
@@ -408,9 +412,6 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, TuneCacheError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, TuneCacheError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
 }
 
 fn read_entry(
@@ -419,10 +420,7 @@ fn read_entry(
     tapes_fp: u64,
     shape: [usize; 3],
 ) -> Result<TuneEntry, TuneCacheError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(TuneCacheError::Io)?;
+    let bytes = std::fs::read(path).map_err(TuneCacheError::Io)?;
     let mut c = Cursor {
         buf: &bytes,
         pos: 0,
@@ -435,18 +433,23 @@ fn read_entry(
         return Err(TuneCacheError::UnsupportedVersion(version));
     }
     // Whole-file checksum over everything before the trailing 8 bytes.
-    if bytes.len() < 8 + c.pos {
-        return Err(TuneCacheError::Truncated);
-    }
-    let body_len = bytes.len() - 8;
+    let body_len = match bytes.len().checked_sub(8) {
+        Some(n) if n >= c.pos => n,
+        _ => return Err(TuneCacheError::Truncated),
+    };
     let mut h = Fnv::new();
     h.write(&bytes[..body_len]);
     let want = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
     if h.finish() != want {
         return Err(TuneCacheError::ChecksumMismatch);
     }
-    if c.u64()? != machine_fp || c.u64()? != tapes_fp {
-        return Err(TuneCacheError::KeyMismatch);
+    // The fields live in the body alone and must end where the checksum
+    // starts: a short body is truncated, a long one malformed.
+    c.buf = &bytes[..body_len];
+    for want in [host_fingerprint(), machine_fp, tapes_fp] {
+        if c.u64()? != want {
+            return Err(TuneCacheError::KeyMismatch);
+        }
     }
     for d in shape {
         if c.u64()? != d as u64 {
@@ -455,146 +458,29 @@ fn read_entry(
     }
     let variant = decode_variant(c.u8()?)?;
     let mode = decode_mode(c.u8()?)?;
-    let mut block = [0usize; 3];
-    for b in &mut block {
-        *b = c.u64()? as usize;
-    }
-    let mut loop_order = [0usize; 3];
-    for d in &mut loop_order {
-        *d = c.u8()? as usize;
-        if *d > 2 {
-            return Err(TuneCacheError::Malformed("loop order"));
-        }
-    }
-    let strip_width = c.u32()? as usize;
-    let measured_mlups = c.f64()?;
-    let predicted_mlups = c.f64()?;
-    if !measured_mlups.is_finite() || !predicted_mlups.is_finite() {
+    let measured_mlups = f64::from_bits(c.u64()?);
+    if !measured_mlups.is_finite() {
         return Err(TuneCacheError::Malformed("non-finite rating"));
+    }
+    if c.pos != body_len {
+        return Err(TuneCacheError::Malformed("trailing bytes"));
     }
     Ok(TuneEntry {
         variant,
         mode,
-        block,
-        loop_order,
-        strip_width,
         measured_mlups,
-        predicted_mlups,
     })
 }
 
 // ---------------------------------------------------------------------------
-// Launch-path selection
+// Reading a tuned engine back
 // ---------------------------------------------------------------------------
 
-/// Where a [`TunedChoice`] came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChoiceSource {
-    /// Both families hit valid cache entries — zero measurement done.
-    Tuned,
-    /// Static ECM heuristic (cache off, cold, or rejected).
-    Static,
-}
-
-/// Outcome of the cache-consulting selection. Supersets
-/// [`crate::select::VariantChoice`] with the tuned execution engine.
-///
-/// **Bitwise contract:** the only launch-time knob a cache state may flip
-/// on an *existing* configuration is `mode` — and all execution engines are
-/// proven bitwise identical, so tuning can change speed but never results.
-/// Variant recommendations (`phi`/`mu`) change floating-point summation
-/// order (≈1e-15 per step); they are configuration-time decisions that
-/// checkpoints pin, exactly like the static heuristic's recommendations.
-#[derive(Clone, Debug)]
-pub struct TunedChoice {
-    pub phi: Variant,
-    pub mu: Variant,
-    /// Measured-fastest engine (`None` on static fallback: keep
-    /// [`default_exec_mode`]).
-    pub mode: Option<ExecMode>,
-    pub source: ChoiceSource,
-    /// Static ECM ratings (φ-split, φ-full, µ-split, µ-full), kept for
-    /// parity with [`crate::select::VariantChoice`].
-    pub predicted_mlups: [f64; 4],
-}
-
-/// Cache-consulting variant selection: the launch-path entry point.
-///
-/// On a warm cache this does **zero measurement** — one file read per
-/// family. On any miss it degrades to [`select_variants`] (the paper's
-/// static ECM rating). `PF_TUNE=off` skips the consult entirely.
-pub fn select_variants_tuned(
-    ks: &KernelSet,
-    sock: &CpuSocket,
-    cores: usize,
-    block: [usize; 3],
-    shape: [usize; 3],
-) -> TunedChoice {
-    select_variants_tuned_in(
-        TuneCache::from_env().as_ref(),
-        ks,
-        sock,
-        cores,
-        block,
-        shape,
-    )
-}
-
-/// [`select_variants_tuned`] against an explicit cache (tests, tools);
-/// `None` always selects statically.
-pub fn select_variants_tuned_in(
-    cache: Option<&TuneCache>,
-    ks: &KernelSet,
-    sock: &CpuSocket,
-    cores: usize,
-    block: [usize; 3],
-    shape: [usize; 3],
-) -> TunedChoice {
-    let stat = select_variants(ks, sock, cores, block);
-    let static_choice = |pred: [f64; 4]| TunedChoice {
-        phi: stat.phi,
-        mu: stat.mu,
-        mode: None,
-        source: ChoiceSource::Static,
-        predicted_mlups: pred,
-    };
-    let Some(cache) = cache else {
-        return static_choice(stat.predicted_mlups);
-    };
-    let machine_fp = sock.fingerprint();
-    let phi = cache.load(machine_fp, family_fingerprint(ks, Family::Phi), shape);
-    let mu = cache.load(machine_fp, family_fingerprint(ks, Family::Mu), shape);
-    match (phi, mu) {
-        (Some(phi), Some(mu)) => {
-            // One engine drives the whole step; follow the family that
-            // dominates the step time (the slower measured kernel).
-            let mode = if phi.measured_mlups <= mu.measured_mlups {
-                phi.mode
-            } else {
-                mu.mode
-            };
-            TunedChoice {
-                phi: phi.variant,
-                mu: mu.variant,
-                mode: Some(mode),
-                source: ChoiceSource::Tuned,
-                predicted_mlups: stat.predicted_mlups,
-            }
-        }
-        // A lone hit is not enough to flip the configuration: selection is
-        // all-or-nothing so the launch decision is reproducible from a
-        // single cache state.
-        _ => static_choice(stat.predicted_mlups),
-    }
-}
-
-/// Engine consult: the measured-fastest execution engine for this
-/// (machine, kernel set, block shape), if both families hit the cache.
-/// This is the bitwise-neutral subset of [`TunedChoice`] — engines are
-/// proven bitwise identical, so applying it can never perturb results.
-/// Zero measurement, two file reads, no ECM rating. `run_distributed`
-/// does not consult it (its ranks run the [`default_exec_mode`] engine);
-/// bench reports use it to name the engine a warm cache would pick.
+/// The engine a warm cache recorded for this (machine, kernel set, block
+/// shape), if both families hit. Zero measurement, two file reads, no ECM
+/// rating. `run_distributed` does not consult it (its ranks run the
+/// [`default_exec_mode`] engine); bench reports use it to name the engine
+/// a warm cache would pick.
 pub fn tuned_exec_mode(
     cache: Option<&TuneCache>,
     ks: &KernelSet,
@@ -607,8 +493,8 @@ pub fn tuned_exec_mode(
     let mu = cache.load(machine_fp, family_fingerprint(ks, Family::Mu), shape);
     match (phi, mu) {
         // One engine drives the whole step; follow the time-dominant
-        // (slower measured) family. All-or-nothing, like the variant
-        // consult: a lone hit keeps the default engine.
+        // (slower measured) family. All-or-nothing: a lone hit keeps the
+        // default engine, so the answer follows from one cache state.
         (Some(phi), Some(mu)) => Some(if phi.measured_mlups <= mu.measured_mlups {
             phi.mode
         } else {
@@ -625,51 +511,15 @@ pub fn tuned_exec_mode(
 /// Tuning effort knobs.
 #[derive(Clone, Debug)]
 pub struct TuneOptions {
-    /// Executable configurations measured per family (after pricing).
-    pub top_k: usize,
-    /// Best-of-N repetitions per (configuration, engine).
+    /// Best-of-N repetitions per variant.
     pub reps: usize,
     /// Timed sweeps per repetition.
     pub sweeps: usize,
-    /// Core count the ECM pricing assumes.
-    pub cores: usize,
-    /// Persist winners to the cache (off for pure measurement runs).
-    pub persist: bool,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        TuneOptions {
-            top_k: 3,
-            reps: 3,
-            sweeps: 2,
-            cores: 1,
-            persist: true,
-        }
-    }
-}
-
-/// One priced (and possibly measured) candidate configuration.
-#[derive(Clone, Debug)]
-pub struct Candidate {
-    pub variant: Variant,
-    pub loop_order: [usize; 3],
-    /// Best-priced blocking tile for this executable configuration.
-    pub block: [usize; 3],
-    /// Best-priced strip width for this executable configuration.
-    pub strip_width: usize,
-    pub predicted_mlups: f64,
-    /// Measured MLUP/s per engine (empty if the candidate missed the
-    /// shortlist).
-    pub measured: Vec<(ExecMode, f64)>,
-}
-
-impl Candidate {
-    fn best_measured(&self) -> Option<(ExecMode, f64)> {
-        self.measured
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+        TuneOptions { reps: 3, sweeps: 2 }
     }
 }
 
@@ -678,93 +528,35 @@ impl Candidate {
 pub struct FamilyTuneReport {
     pub family: Family,
     pub shape: [usize; 3],
-    /// Size of the priced enumeration (variant × order × block × width).
+    /// Configurations measured: full and split under the default engine.
     pub candidates: usize,
-    /// Number of timed (configuration, engine) measurements.
+    /// Number of timed repetitions.
     pub measured: usize,
-    /// The configuration selection will use (cache-hit entry if one was
-    /// valid, else the fresh winner).
+    /// The entry a warm cache now holds (a still-accurate prior entry, else
+    /// the fresh winner). Its `mode` is the engine every measurement ran
+    /// under.
     pub entry: TuneEntry,
-    /// Best measured MLUP/s over the whole shortlist.
+    /// Best measured MLUP/s of the two variants.
     pub best_mlups: f64,
-    /// Measured MLUP/s of the entry's configuration.
+    /// Measured MLUP/s of the variant the cache held before this run (the
+    /// fresh winner on a cold cache).
     pub chosen_mlups: f64,
-    /// Measured MLUP/s of the static heuristic's choice under the default
-    /// engine.
+    /// Measured MLUP/s of the static heuristic's variant.
     pub static_mlups: f64,
     pub static_variant: Variant,
-    pub static_mode: ExecMode,
-    /// `1 - chosen/best`: what the tuned selection leaves on the table.
+    /// `1 - chosen/best`: what the cached selection leaves on the table.
     pub regret_chosen: f64,
-    /// `1 - static/best`: what the *static* heuristic leaves on the table
-    /// (the tuner's payoff).
+    /// `1 - static/best`: what the §6.1 static variant decision leaves on
+    /// the table with the engine held fixed.
     pub regret_static: f64,
-    pub all: Vec<Candidate>,
 }
 
-fn family_variant_tapes(ks: &KernelSet, family: Family, variant: Variant) -> Vec<Tape> {
-    match (family, variant) {
-        (Family::Phi, Variant::Full) => vec![ks.phi_full.clone()],
-        (Family::Mu, Variant::Full) => vec![ks.mu_full.clone()],
-        (Family::Phi, Variant::Split) => {
-            let mut v = ks.phi_split.flux_tapes.clone();
-            v.push(ks.phi_split.update.clone());
-            v
-        }
-        (Family::Mu, Variant::Split) => {
-            let mut v = ks.mu_split.flux_tapes.clone();
-            v.push(ks.mu_split.update.clone());
-            v
-        }
-    }
-}
-
-/// (y,z) blocking tiles to price, clamped to the shape. x is never blocked
-/// (unit stride).
-fn candidate_blocks(shape: [usize; 3]) -> Vec<[usize; 3]> {
-    let mut out = Vec::new();
-    for (by, bz) in [(24, 8), (16, 16), (8, 32), (32, 4)] {
-        let b = [shape[0], by.min(shape[1]).max(1), bz.min(shape[2]).max(1)];
-        if !out.contains(&b) {
-            out.push(b);
-        }
-    }
-    out
-}
-
-/// Strip widths to price: the socket's native width plus one half-width
-/// alternative (only the native width is executable today; the narrower
-/// rating documents what a remainder-dominated strip would cost).
-fn candidate_widths(sock: &CpuSocket) -> Vec<usize> {
-    let mut v = vec![sock.simd_f64];
-    if sock.simd_f64 >= 2 && !v.contains(&(sock.simd_f64 / 2)) {
-        v.push(sock.simd_f64 / 2);
-    }
-    v
-}
-
-/// The loop orders the LICM pass can produce (x always innermost).
-const LOOP_ORDERS: [[usize; 3]; 2] = [[2, 1, 0], [1, 2, 0]];
-
-/// Engines worth measuring for a shape on this host.
-fn available_modes(shape: [usize; 3]) -> Vec<ExecMode> {
-    let mut v = vec![ExecMode::Serial];
-    if shape[0] >= pf_backend::STRIP_WIDTH {
-        v.push(ExecMode::Vectorized);
-    }
-    if pf_backend::native_available() {
-        v.push(ExecMode::Native);
-    }
-    v
-}
-
-/// Run the full enumerate → price → shortlist → measure → persist loop for
-/// both kernel families of `ks` at block geometry `shape`.
+/// Measure both variants of both kernel families of `ks` at block
+/// geometry `shape` under [`default_exec_mode`], report the static
+/// heuristic's pick against the measured best, and persist the winners.
 ///
-/// This is the *explicit* tuning entry point (bench binaries, CI smoke, a
-/// future `pf tune` tool) — it always measures, which is exactly why the
-/// launch path never calls it: launches consult the cache through
-/// [`select_variants_tuned`] and fall back to the static heuristic.
+/// This always measures, so no launch calls it: it is the explicit entry
+/// point for bench binaries and tools.
 pub fn tune_kernel_set(
     p: &ModelParams,
     ks: &KernelSet,
@@ -773,21 +565,103 @@ pub fn tune_kernel_set(
     cache: Option<&TuneCache>,
     opts: &TuneOptions,
 ) -> Vec<FamilyTuneReport> {
-    // One workload serves every candidate: seed a diffuse front, take one
+    // One workload serves every measurement: seed a diffuse front, take one
     // real step so both field generations and the staggered temporaries
     // hold representative data, then refresh all ghosts.
     let mut sim = Simulation::new(p.clone(), ks.clone(), SimConfig::new(shape));
     seed_tune_workload(&mut sim);
     let ctx = sim.ctx();
     let machine_fp = sock.fingerprint();
-    let modes = available_modes(shape);
+    let mode = default_exec_mode(shape);
+    let stat = select_variants(ks, sock, sock.cores, [24, 24, 8]);
 
-    [Family::Phi, Family::Mu]
+    [(Family::Phi, stat.phi), (Family::Mu, stat.mu)]
         .into_iter()
-        .map(|family| {
-            tune_family(
-                family, ks, sock, shape, cache, opts, &mut sim, &ctx, machine_fp, &modes,
-            )
+        .map(|(family, static_variant)| {
+            let tapes_fp = family_fingerprint(ks, family);
+            // A prior entry measured under another engine says nothing
+            // about this one.
+            let prior = cache
+                .and_then(|c| c.load(machine_fp, tapes_fp, shape))
+                .filter(|e| e.mode == mode);
+
+            // Best-of-N short sweeps through the production launch path.
+            let mut measured = 0usize;
+            let [full, split] = [Variant::Full, Variant::Split].map(|variant| {
+                let tapes = family_variant_tapes(ks, family, variant);
+                let mut best = 0.0f64;
+                for _ in 0..opts.reps {
+                    let mlups = pf_backend::time_tapes(
+                        &tapes,
+                        &mut sim.store,
+                        &[],
+                        shape,
+                        &ctx,
+                        mode,
+                        opts.sweeps,
+                    );
+                    best = best.max(mlups);
+                    measured += 1;
+                    bump("tune.measurements");
+                }
+                best
+            });
+            let mlups_of = |v: Variant| match v {
+                Variant::Full => full,
+                Variant::Split => split,
+            };
+            let best_mlups = full.max(split);
+            let fresh = TuneEntry {
+                variant: if full > split {
+                    Variant::Full
+                } else {
+                    Variant::Split
+                },
+                mode,
+                measured_mlups: best_mlups,
+            };
+            // A valid prior entry *is* what a warm cache reports — gate its
+            // regret, not the fresh winner's (which is 0 by construction).
+            let chosen_mlups = mlups_of(prior.as_ref().unwrap_or(&fresh).variant);
+            let static_mlups = mlups_of(static_variant);
+            let regret = |v: f64| {
+                if best_mlups > 0.0 {
+                    (1.0 - v / best_mlups).max(0.0)
+                } else {
+                    0.0
+                }
+            };
+            let regret_chosen = regret(chosen_mlups);
+
+            // Persist the fresh winner on a cold cache, or refresh a prior
+            // entry that measurably drifted (>2% regret) — otherwise leave
+            // the cache untouched so repeated tuning runs don't churn mtimes.
+            let entry = match prior {
+                Some(prior) if regret_chosen <= 0.02 => prior,
+                _ => {
+                    if let Some(cache) = cache {
+                        if let Err(e) = cache.store(machine_fp, tapes_fp, shape, &fresh) {
+                            bump("tune.cache.store_fail");
+                            eprintln!("warning: could not persist tuning entry: {e}");
+                        }
+                    }
+                    fresh
+                }
+            };
+
+            FamilyTuneReport {
+                family,
+                shape,
+                candidates: 2,
+                measured,
+                entry,
+                best_mlups,
+                chosen_mlups,
+                static_mlups,
+                static_variant,
+                regret_chosen,
+                regret_static: regret(static_mlups),
+            }
         })
         .collect()
 }
@@ -809,210 +683,11 @@ fn seed_tune_workload(sim: &mut Simulation) {
     let n_mu = sim.params.num_mu();
     sim.init_mu(move |x, y, _| vec![0.05 + 0.001 * ((x + y) % 5) as f64; n_mu]);
     // One real step fills φ_dst/µ_dst and the staggered flux arrays with
-    // representative values, so candidate sweeps touch warm, finite data.
+    // representative values, so measured sweeps touch warm, finite data.
     sim.step();
     let f = sim.kernels.fields;
     for field in [f.phi_src, f.phi_dst, f.mu_src, f.mu_dst] {
         sim.apply_bc(field);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tune_family(
-    family: Family,
-    ks: &KernelSet,
-    sock: &CpuSocket,
-    shape: [usize; 3],
-    cache: Option<&TuneCache>,
-    opts: &TuneOptions,
-    sim: &mut Simulation,
-    ctx: &pf_backend::RunCtx,
-    machine_fp: u64,
-    modes: &[ExecMode],
-) -> FamilyTuneReport {
-    let tapes_fp = family_fingerprint(ks, family);
-    let prior = cache.and_then(|c| c.load(machine_fp, tapes_fp, shape));
-
-    // Enumerate + price. Executable configurations are (variant, order):
-    // blocking tiles and strip widths are model-side dimensions, so each
-    // config keeps its best pricing point. Alternate loop orders apply to
-    // the full variant only (split flux tapes are direction-bound).
-    let mut enumerated = 0usize;
-    let mut configs: Vec<(Candidate, Vec<Tape>)> = Vec::new();
-    for variant in [Variant::Full, Variant::Split] {
-        let orders: &[[usize; 3]] = match variant {
-            Variant::Full => &LOOP_ORDERS,
-            Variant::Split => &LOOP_ORDERS[..1],
-        };
-        for &order in orders {
-            let mut tapes = family_variant_tapes(ks, family, variant);
-            if variant == Variant::Full {
-                for t in &mut tapes {
-                    pf_ir::apply_loop_order(t, order);
-                }
-            }
-            let refs: Vec<&Tape> = tapes.iter().collect();
-            let mut best: Option<([usize; 3], usize, f64)> = None;
-            for block in candidate_blocks(shape) {
-                for width in candidate_widths(sock) {
-                    enumerated += 1;
-                    let mlups =
-                        pf_perfmodel::price_candidate(&refs, sock, block, width, opts.cores);
-                    if best.is_none() || mlups > best.unwrap().2 {
-                        best = Some((block, width, mlups));
-                    }
-                }
-            }
-            let (block, strip_width, predicted) = best.unwrap();
-            configs.push((
-                Candidate {
-                    variant,
-                    loop_order: if variant == Variant::Full {
-                        order
-                    } else {
-                        tapes[0].loop_order
-                    },
-                    block,
-                    strip_width,
-                    predicted_mlups: predicted,
-                    measured: Vec::new(),
-                },
-                tapes,
-            ));
-        }
-    }
-
-    // Shortlist: top-K by predicted MLUP/s, with the static heuristic's
-    // pick always measured (it is the regret baseline).
-    let stat = select_variants(ks, sock, sock.cores, [24, 24, 8]);
-    let static_variant = match family {
-        Family::Phi => stat.phi,
-        Family::Mu => stat.mu,
-    };
-    let static_mode = default_exec_mode(shape);
-    let default_order = family_variant_tapes(ks, family, static_variant)[0].loop_order;
-    configs.sort_by(|a, b| b.0.predicted_mlups.total_cmp(&a.0.predicted_mlups));
-    let is_static = |c: &Candidate| c.variant == static_variant && c.loop_order == default_order;
-    let mut shortlist: Vec<usize> = (0..configs.len().min(opts.top_k)).collect();
-    if let Some(si) = configs.iter().position(|(c, _)| is_static(c)) {
-        if !shortlist.contains(&si) {
-            shortlist.push(si);
-        }
-    }
-
-    // Measure the shortlist: best-of-N short sweeps through the production
-    // launch path, per available engine.
-    let mut measured = 0usize;
-    for &i in &shortlist {
-        let (cand, tapes) = &mut configs[i];
-        let refs: Vec<&Tape> = tapes.iter().collect();
-        for &mode in modes {
-            let mut best = 0.0f64;
-            for _ in 0..opts.reps {
-                let mlups = pf_backend::time_tapes(
-                    &refs,
-                    &mut sim.store,
-                    &[],
-                    shape,
-                    ctx,
-                    mode,
-                    opts.sweeps,
-                );
-                best = best.max(mlups);
-                measured += 1;
-                bump("tune.measurements");
-            }
-            cand.measured.push((mode, best));
-        }
-    }
-
-    // Winner, baseline, regrets.
-    let candidates: Vec<Candidate> = configs.iter().map(|(c, _)| c.clone()).collect();
-    let (best_cand, best_mode, best_mlups) = candidates
-        .iter()
-        .filter_map(|c| c.best_measured().map(|(m, v)| (c, m, v)))
-        .max_by(|a, b| a.2.total_cmp(&b.2))
-        .expect("shortlist is never empty");
-    let static_mlups = candidates
-        .iter()
-        .find(|c| is_static(c))
-        .and_then(|c| {
-            c.measured
-                .iter()
-                .find(|(m, _)| *m == static_mode)
-                .map(|(_, v)| *v)
-        })
-        .unwrap_or(0.0);
-
-    let fresh = TuneEntry {
-        variant: best_cand.variant,
-        mode: best_mode,
-        block: best_cand.block,
-        loop_order: best_cand.loop_order,
-        strip_width: best_cand.strip_width,
-        measured_mlups: best_mlups,
-        predicted_mlups: best_cand.predicted_mlups,
-    };
-    // A valid prior entry *is* what launch-time selection will use — report
-    // its regret, not the fresh winner's (which is 0 by construction).
-    let chosen = prior
-        .as_ref()
-        .filter(|e| {
-            candidates
-                .iter()
-                .any(|c| c.variant == e.variant && c.loop_order == e.loop_order)
-        })
-        .cloned()
-        .unwrap_or_else(|| fresh.clone());
-    let chosen_mlups = candidates
-        .iter()
-        .find(|c| c.variant == chosen.variant && c.loop_order == chosen.loop_order)
-        .and_then(|c| {
-            c.measured
-                .iter()
-                .find(|(m, _)| *m == chosen.mode)
-                .map(|(_, v)| *v)
-        })
-        .unwrap_or(best_mlups);
-    let regret = |v: f64| {
-        if best_mlups > 0.0 {
-            (1.0 - v / best_mlups).max(0.0)
-        } else {
-            0.0
-        }
-    };
-    let regret_chosen = regret(chosen_mlups);
-    let regret_static = regret(static_mlups);
-
-    // Persist the fresh winner on a cold cache, or refresh a prior entry
-    // that measurably drifted (>2% regret) — otherwise leave the cache
-    // untouched so repeated tuning runs don't churn mtimes.
-    if opts.persist {
-        if let Some(cache) = cache {
-            let stale = prior.is_none() || regret_chosen > 0.02;
-            if stale {
-                if let Err(e) = cache.store(machine_fp, tapes_fp, shape, &fresh) {
-                    bump("tune.cache.store_fail");
-                    eprintln!("warning: could not persist tuning entry: {e}");
-                }
-            }
-        }
-    }
-
-    FamilyTuneReport {
-        family,
-        shape,
-        candidates: enumerated,
-        measured,
-        entry: if regret_chosen > 0.02 { fresh } else { chosen },
-        best_mlups,
-        chosen_mlups,
-        static_mlups,
-        static_variant,
-        static_mode,
-        regret_chosen,
-        regret_static,
-        all: candidates,
     }
 }
 
@@ -1145,12 +820,23 @@ mod tests {
         TuneEntry {
             variant: Variant::Split,
             mode: ExecMode::Vectorized,
-            block: [16, 16, 4],
-            loop_order: [2, 1, 0],
-            strip_width: 8,
             measured_mlups: 123.5,
-            predicted_mlups: 150.25,
         }
+    }
+
+    /// Rewrite the trailing checksum so only the edited fields can reject.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let mut h = Fnv::new();
+        h.write(&bytes[..body]);
+        bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
+    }
+
+    fn counter(name: &str) -> u64 {
+        pf_trace::snapshot()
+            .counters
+            .get(name)
+            .map_or(0, |c| c.total)
     }
 
     #[test]
@@ -1177,22 +863,76 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The fields must end exactly where the checksum starts: a sealed
+    /// entry one byte longer or shorter than the layout is rejected with a
+    /// typed error, never parsed into a plausible entry.
     #[test]
-    fn pricing_enumeration_is_nonempty_and_positive() {
+    fn entry_length_must_end_at_the_checksum() {
+        let dir = scratch("length");
+        let cache = TuneCache::at(&dir);
+        let path = cache.store(1, 2, [8, 8, 8], &entry()).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let body = good.len() - 8;
+
+        let mut long = good.clone();
+        long.insert(body, 0);
+        reseal(&mut long);
+        std::fs::write(&path, &long).unwrap();
+        let err = read_entry(&path, 1, 2, [8, 8, 8]).unwrap_err();
+        assert!(matches!(err, TuneCacheError::Malformed(_)), "{err:?}");
+        assert_eq!(cache.load(1, 2, [8, 8, 8]), None);
+
+        let mut short = good.clone();
+        short.remove(body - 1);
+        reseal(&mut short);
+        std::fs::write(&path, &short).unwrap();
+        let err = read_entry(&path, 1, 2, [8, 8, 8]).unwrap_err();
+        assert!(matches!(err, TuneCacheError::Truncated), "{err:?}");
+        assert_eq!(cache.load(1, 2, [8, 8, 8]), None);
+
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(cache.load(1, 2, [8, 8, 8]), Some(entry()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Entries hold MLUP/s measured on one host: a sealed entry whose host
+    /// identity is not this process's is a key mismatch, and the engine
+    /// consult falls back to the default.
+    #[test]
+    fn foreign_host_entries_are_key_mismatches() {
         let ks = generate_kernels(&crate::kernels::tests::mini_model(), &GenOptions::default());
         let sock = skylake_8174();
+        let shape = [16, 12, 1];
+        let dir = scratch("host");
+        let cache = TuneCache::at(&dir);
+        let fp = sock.fingerprint();
         for family in [Family::Phi, Family::Mu] {
-            for variant in [Variant::Full, Variant::Split] {
-                let tapes = family_variant_tapes(&ks, family, variant);
-                let refs: Vec<&Tape> = tapes.iter().collect();
-                for block in candidate_blocks([16, 16, 4]) {
-                    for width in candidate_widths(&sock) {
-                        let m = pf_perfmodel::price_candidate(&refs, &sock, block, width, 1);
-                        assert!(m > 0.0 && m.is_finite(), "{family:?} {variant:?}: {m}");
-                    }
-                }
-            }
+            cache
+                .store(fp, family_fingerprint(&ks, family), shape, &entry())
+                .unwrap();
         }
+        assert_eq!(
+            tuned_exec_mode(Some(&cache), &ks, &sock, shape),
+            Some(ExecMode::Vectorized)
+        );
+
+        // Host identity: bytes 12..20, after magic (8) and version (4).
+        let phi_fp = family_fingerprint(&ks, Family::Phi);
+        let path = cache.entry_path(fp, phi_fp, shape);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let foreign = host_fingerprint() ^ 1;
+        bytes[12..20].copy_from_slice(&foreign.to_le_bytes());
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = read_entry(&path, fp, phi_fp, shape).unwrap_err();
+        assert!(matches!(err, TuneCacheError::KeyMismatch), "{err:?}");
+        let corrupt0 = counter("tune.cache.corrupt");
+        assert_eq!(tuned_exec_mode(Some(&cache), &ks, &sock, shape), None);
+        if pf_trace::enabled() {
+            assert!(counter("tune.cache.corrupt") > corrupt0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

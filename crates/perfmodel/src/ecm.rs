@@ -136,33 +136,6 @@ pub fn ecm_multi(tapes: &[&Tape], sock: &CpuSocket, block: [usize; 3]) -> EcmPre
     pred
 }
 
-/// Price one autotuning candidate: the ECM rating of a (possibly
-/// multi-pass) kernel at a given cache-blocking tile and SIMD strip width,
-/// in aggregate MLUP/s at `cores` cores.
-///
-/// `lanes` overrides the socket's native `simd_f64`: a narrower strip
-/// processes fewer cells per "cache line of results", which scales both the
-/// compute terms (fewer cells amortize each vector instruction) and the
-/// transfer terms (fewer bytes per result line) — exactly how the paper
-/// prices sub-width vectorization candidates before deciding whether they
-/// are worth generating. `block` is the (x, y, z) cache-simulation tile; the
-/// layer conditions it implies drive the inter-level data volumes.
-pub fn price_candidate(
-    tapes: &[&Tape],
-    sock: &CpuSocket,
-    block: [usize; 3],
-    lanes: usize,
-    cores: usize,
-) -> f64 {
-    assert!(lanes >= 1, "a strip needs at least one lane");
-    if lanes == sock.simd_f64 {
-        return ecm_multi(tapes, sock, block).mlups(sock.freq_ghz, cores);
-    }
-    let mut narrowed = sock.clone();
-    narrowed.simd_f64 = lanes;
-    ecm_multi(tapes, &narrowed, block).mlups(narrowed.freq_ghz, cores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,7 +24,7 @@ pub mod layercond;
 pub mod opcount;
 
 pub use cachesim::{simulate_sweep, DataVolumes, Lru};
-pub use ecm::{ecm_model, ecm_multi, price_candidate, t_comp, t_nol, EcmPrediction};
+pub use ecm::{ecm_model, ecm_multi, t_comp, t_nol, EcmPrediction};
 pub use gpu::{
     gpu_kernel_model, occupancy, register_report, GpuKernelModel, RegisterReport, REG_OVERHEAD,
 };

@@ -124,23 +124,15 @@ PF_NATIVE_CACHE_DIR="$NAT_DIR/cache" target/release/examples/quickstart \
 cmp "$NOTC_DIR/quickstart.log" "$NOTC_DIR/quickstart_default.log" \
   || { echo "the no-toolchain fallback changed the quickstart output" >&2; exit 1; }
 
-echo "== tune smoke =="
-# The autotuning loop end to end on a disposable cache: cold consult
-# misses and falls back static, an explicit tune prices/measures/persists,
-# and the warm consult hits with ZERO measurements on the launch path —
-# examples/tune_smoke.rs asserts all of that via tune.cache.{hit,miss}
-# and tune.measurements counters and prints `tune-smoke: OK` at the end.
+echo "== warm tuning pass =="
+# The tuner's cold-miss → measure → persist → warm-hit round trip is a
+# tier-1 test (tests/tuning_cache.rs). Here, a second table1 pass runs
+# against the cache the bench smoke above already filled.
 TUNE_DIR="$SMOKE_DIR/tune"
 rm -rf "$TUNE_DIR"
 mkdir -p "$TUNE_DIR"
-cargo build -q --release --example tune_smoke
-PF_TUNE_CACHE_DIR="$TUNE_DIR/cache" target/release/examples/tune_smoke \
-  | tee "$TUNE_DIR/tune_smoke.log"
-grep -q '^tune-smoke: OK' "$TUNE_DIR/tune_smoke.log" \
-  || { echo "tune smoke did not complete" >&2; exit 1; }
-# A second table1 pass against the cache the bench smoke above already
-# filled: the warm-hit path must still emit a schema-valid extra.tuning
-# block (bench_check validates the regret arithmetic field by field).
+# The warm-hit path must still emit a schema-valid extra.tuning block
+# (bench_check validates the regret arithmetic field by field).
 PF_BENCH_SMOKE=1 PF_BENCH_OUT_DIR="$TUNE_DIR" "$BIN/table1" > "$TUNE_DIR/table1.log"
 "$BIN/bench_check" validate "$TUNE_DIR"/BENCH_table1.json
 

@@ -3,15 +3,16 @@
 //! The contract under test: a damaged or foreign cache can cost speed but
 //! never correctness or availability. Corrupted, truncated, or
 //! version-mismatched entries are rejected with typed counters and the
-//! selection falls back to the static ECM heuristic — producing exactly
-//! the choice an empty cache produces — and concurrent ranks sharing one
-//! cache directory never observe a half-written entry (installs are
-//! unique-tmp + atomic rename).
+//! engine consult falls back to the default engine — exactly what an empty
+//! cache produces — and concurrent ranks sharing one cache directory never
+//! observe a half-written entry (installs are unique-tmp + atomic rename).
+//! The tuner itself is driven end to end: cold miss → measure → persist →
+//! warm hit with zero measurement.
 
 use pf_backend::ExecMode;
 use pf_core::{
-    family_fingerprint, generate_kernels, select_variants, select_variants_tuned_in, ChoiceSource,
-    Family, KernelSet, TuneCache, TuneEntry, Variant,
+    default_exec_mode, family_fingerprint, generate_kernels, tune_kernel_set, tuned_exec_mode,
+    Family, KernelSet, TuneCache, TuneEntry, TuneOptions, Variant,
 };
 use pf_ir::GenOptions;
 use pf_machine::{skylake_8174, CpuSocket};
@@ -66,11 +67,7 @@ fn entry(mode: ExecMode, mlups: f64) -> TuneEntry {
     TuneEntry {
         variant: Variant::Split,
         mode,
-        block: [24, 24, 8],
-        loop_order: [2, 1, 0],
-        strip_width: 8,
         measured_mlups: mlups,
-        predicted_mlups: 10.0 * mlups,
     }
 }
 
@@ -104,7 +101,6 @@ fn store_both(cache: &TuneCache, ks: &KernelSet, sock: &CpuSocket, shape: [usize
 }
 
 const SHAPE: [usize; 3] = [16, 12, 1];
-const BLOCK: [usize; 3] = [24, 24, 8];
 
 #[test]
 fn roundtrip_preserves_the_entry_bit_for_bit() {
@@ -125,18 +121,15 @@ fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
     let sock = skylake_8174();
     let scratch = Scratch::new("damage");
     let cache = TuneCache::at(&scratch.0);
-    let stat = select_variants(&ks, &sock, sock.cores, BLOCK);
+    let consult = || tuned_exec_mode(Some(&cache), &ks, &sock, SHAPE);
 
     // Warm: both families hit; the slower family (phi, 0.5 MLUP/s) pins
     // the engine.
     store_both(&cache, &ks, &sock, SHAPE);
-    let tuned = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
-    assert_eq!(tuned.source, ChoiceSource::Tuned);
-    assert_eq!(tuned.mode, Some(ExecMode::Serial));
-    assert_eq!((tuned.phi, tuned.mu), (Variant::Split, Variant::Split));
+    assert_eq!(consult(), Some(ExecMode::Serial));
 
     // Corrupt one entry: flip a byte past the header so the checksum
-    // breaks. Selection must equal the static heuristic's choice exactly.
+    // breaks. The consult must fall back, so callers keep the default.
     let phi_path = cache.entry_path(
         sock.fingerprint(),
         family_fingerprint(&ks, Family::Phi),
@@ -147,17 +140,7 @@ fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
     bytes[mid] ^= 0xff;
     std::fs::write(&phi_path, &bytes).expect("rewrite corrupted");
     let corrupt0 = counter("tune.cache.corrupt");
-    let fell_back = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
-    assert_eq!(fell_back.source, ChoiceSource::Static);
-    assert_eq!(
-        fell_back.mode, None,
-        "static fallback keeps the shape default"
-    );
-    assert_eq!((fell_back.phi, fell_back.mu), (stat.phi, stat.mu));
-    assert_eq!(
-        fell_back.predicted_mlups, stat.predicted_mlups,
-        "fallback re-rates with the same ECM model, bit for bit"
-    );
+    assert_eq!(consult(), None, "damage falls back to the default engine");
     if pf_trace::enabled() {
         assert!(
             counter("tune.cache.corrupt") > corrupt0,
@@ -168,9 +151,7 @@ fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
     // Truncate it instead: same fallback, still the corrupt counter.
     std::fs::write(&phi_path, &bytes[..10]).expect("truncate");
     let corrupt1 = counter("tune.cache.corrupt");
-    let truncated = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
-    assert_eq!(truncated.source, ChoiceSource::Static);
-    assert_eq!((truncated.phi, truncated.mu), (stat.phi, stat.mu));
+    assert_eq!(consult(), None);
     if pf_trace::enabled() {
         assert!(
             counter("tune.cache.corrupt") > corrupt1,
@@ -189,9 +170,7 @@ fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&phi_path, &bytes).expect("rewrite retired mode");
     let corrupt2 = counter("tune.cache.corrupt");
-    let retired = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
-    assert_eq!(retired.source, ChoiceSource::Static);
-    assert_eq!((retired.phi, retired.mu), (stat.phi, stat.mu));
+    assert_eq!(consult(), None);
     if pf_trace::enabled() {
         assert!(
             counter("tune.cache.corrupt") > corrupt2,
@@ -200,9 +179,9 @@ fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
     }
 }
 
-/// Offset of the exec-mode byte in an entry: magic (8), version (4),
-/// machine and tapes fingerprints (8 + 8), shape (3 × 8), variant (1).
-const MODE_BYTE: usize = 53;
+/// Offset of the exec-mode byte in an entry: magic (8), version (4), host,
+/// machine and tapes fingerprints (3 × 8), shape (3 × 8), variant (1).
+const MODE_BYTE: usize = 61;
 
 /// FNV-1a 64, the entry checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -253,7 +232,7 @@ fn version_mismatched_entries_are_rejected_before_the_checksum() {
     // Patch the version field (bytes 8..12, after the magic) of one entry.
     // The reader checks the version *before* the checksum, so a future
     // format is cleanly "unsupported version", not "corrupt" — and the
-    // consult falls back statically either way.
+    // consult falls back to the default engine either way.
     let mu_path = cache.entry_path(
         sock.fingerprint(),
         family_fingerprint(&ks, Family::Mu),
@@ -265,10 +244,9 @@ fn version_mismatched_entries_are_rejected_before_the_checksum() {
 
     let vm0 = counter("tune.cache.version_mismatch");
     let corrupt0 = counter("tune.cache.corrupt");
-    let choice = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
     assert_eq!(
-        choice.source,
-        ChoiceSource::Static,
+        tuned_exec_mode(Some(&cache), &ks, &sock, SHAPE),
+        None,
         "lone phi hit is not enough"
     );
     if pf_trace::enabled() {
@@ -299,11 +277,7 @@ fn lone_family_hit_keeps_the_static_choice() {
             &entry(ExecMode::Serial, 0.5),
         )
         .expect("store phi entry");
-    let stat = select_variants(&ks, &sock, sock.cores, BLOCK);
-    let choice = select_variants_tuned_in(Some(&cache), &ks, &sock, sock.cores, BLOCK, SHAPE);
-    assert_eq!(choice.source, ChoiceSource::Static);
-    assert_eq!(choice.mode, None);
-    assert_eq!((choice.phi, choice.mu), (stat.phi, stat.mu));
+    assert_eq!(tuned_exec_mode(Some(&cache), &ks, &sock, SHAPE), None);
 }
 
 /// Concurrent ranks hammering one cache directory — mixed stores of
@@ -356,23 +330,61 @@ fn concurrent_ranks_sharing_a_cache_dir_never_see_torn_entries() {
 }
 
 #[test]
-fn kill_switch_and_cache_dir_env_are_respected() {
-    // `tune_enabled` is pure env parsing; exercise all spellings. The
-    // PF_TUNE mutations are benign for concurrent tests in this binary:
-    // nothing else here consults `TuneCache::from_env`.
-    for off in ["off", "0", "false"] {
-        std::env::set_var("PF_TUNE", off);
+fn cache_dir_env_is_respected() {
+    // The only env knob left is the directory. The mutation is benign for
+    // concurrent tests in this binary: nothing else here consults
+    // `TuneCache::from_env`.
+    let scratch = Scratch::new("env");
+    std::env::set_var("PF_TUNE_CACHE_DIR", &scratch.0);
+    let cache = TuneCache::from_env().expect("the cache is always on");
+    assert_eq!(cache.dir(), scratch.0.as_path());
+    std::env::remove_var("PF_TUNE_CACHE_DIR");
+    let cache = TuneCache::from_env().expect("the cache is always on");
+    assert_eq!(cache.dir(), std::env::temp_dir().join("pf-tune-cache"));
+}
+
+/// The tuner end to end on the mini model: a cold consult misses both
+/// families, one tuning run measures full and split per family and
+/// persists the winners, and the warm consult returns the engine they ran
+/// under without measuring anything.
+#[test]
+fn tune_round_trip_persists_both_families_and_warm_consults_measure_nothing() {
+    let ks = kernels();
+    let sock = skylake_8174();
+    let scratch = Scratch::new("tune");
+    let cache = TuneCache::at(&scratch.0);
+
+    let miss0 = counter("tune.cache.miss");
+    assert_eq!(tuned_exec_mode(Some(&cache), &ks, &sock, SHAPE), None);
+    if pf_trace::enabled() {
+        // Other tests in this binary may miss concurrently: at least two.
         assert!(
-            !pf_core::tune_enabled(),
-            "PF_TUNE={off} must disable tuning"
-        );
-        assert!(
-            TuneCache::from_env().is_none(),
-            "disabled tuning must yield no cache"
+            counter("tune.cache.miss") >= miss0 + 2,
+            "one miss per family"
         );
     }
-    std::env::set_var("PF_TUNE", "on");
-    assert!(pf_core::tune_enabled());
-    std::env::remove_var("PF_TUNE");
-    assert!(pf_core::tune_enabled(), "unset leaves tuning on");
+
+    let opts = TuneOptions::default();
+    let reports = tune_kernel_set(&mini(), &ks, &sock, SHAPE, Some(&cache), &opts);
+    assert_eq!(reports.len(), 2);
+    for r in &reports {
+        assert_eq!(r.candidates, 2, "{:?}: full and split", r.family);
+        assert_eq!(r.measured, 2 * opts.reps);
+        assert_eq!(r.regret_chosen, 0.0, "a cold run keeps the measured best");
+        assert_eq!(r.entry.mode, default_exec_mode(SHAPE));
+        assert!(r.best_mlups > 0.0);
+        let persisted = cache.load(sock.fingerprint(), family_fingerprint(&ks, r.family), SHAPE);
+        assert_eq!(persisted.as_ref(), Some(&r.entry));
+    }
+
+    let meas0 = counter("tune.measurements");
+    assert_eq!(
+        tuned_exec_mode(Some(&cache), &ks, &sock, SHAPE),
+        Some(default_exec_mode(SHAPE))
+    );
+    assert_eq!(
+        counter("tune.measurements"),
+        meas0,
+        "a warm consult measures nothing"
+    );
 }
